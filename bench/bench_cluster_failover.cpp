@@ -15,7 +15,6 @@
 
 #include "common.hpp"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -32,6 +31,7 @@
 #include "treu/cluster/worker.hpp"
 #include "treu/core/manifest.hpp"
 #include "treu/core/rng.hpp"
+#include "treu/core/stats.hpp"
 #include "treu/fault/fault_plan.hpp"
 #include "treu/nn/mlp.hpp"
 
@@ -78,14 +78,6 @@ std::vector<double> features_for(std::uint64_t seq) {
   treu::core::Rng rng(0x5EED5EEDULL, seq);
   for (double &v : f) v = rng.uniform(-1.0, 1.0);
   return f;
-}
-
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(values.size() - 1) + 0.5);
-  return values[std::min(idx, values.size() - 1)];
 }
 
 struct TenantCell {
@@ -170,7 +162,7 @@ FailoverCellResult run_cell(double kill_rate, std::size_t attempts,
   for (std::size_t t = 0; t < kTenants; ++t) {
     r.tenants[t].goodput_rps =
         static_cast<double>(r.tenants[t].fulfilled) / elapsed_s;
-    r.tenants[t].p99_us = percentile(latency_us[t], 0.99);
+    r.tenants[t].p99_us = treu::core::quantile(latency_us[t], 0.99);
   }
   r.goodput_rps = static_cast<double>(fulfilled) / elapsed_s;
   r.fail_rate = static_cast<double>(failed) / kBurst;

@@ -11,7 +11,6 @@
 
 #include "common.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +19,7 @@
 
 #include "treu/core/manifest.hpp"
 #include "treu/core/rng.hpp"
+#include "treu/core/stats.hpp"
 #include "treu/fault/fault_plan.hpp"
 #include "treu/rl/qnet.hpp"
 #include "treu/serve/batch_server.hpp"
@@ -45,14 +45,6 @@ std::vector<std::vector<double>> make_states(std::size_t count,
     for (double &x : s) x = rng.normal(0.0, 1.0);
   }
   return states;
-}
-
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 struct FaultCellResult {
@@ -138,7 +130,7 @@ FaultCellResult run_cell(double fault_rate, std::size_t attempts,
 
   FaultCellResult r;
   r.goodput_rps = static_cast<double>(ok) / elapsed_s;
-  r.p99_us = percentile(latency_us, 0.99);
+  r.p99_us = treu::core::quantile(latency_us, 0.99);
   r.shed_rate = static_cast<double>(shed + rejected) / kBurst;
   r.fail_rate = static_cast<double>(failed) / kBurst;
   r.injected = plan.events() - plan.injected(treu::fault::FaultKind::None);

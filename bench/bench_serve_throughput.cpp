@@ -12,7 +12,6 @@
 
 #include "common.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +21,7 @@
 
 #include "treu/core/manifest.hpp"
 #include "treu/core/rng.hpp"
+#include "treu/core/stats.hpp"
 #include "treu/rl/qnet.hpp"
 #include "treu/serve/batch_server.hpp"
 
@@ -42,14 +42,6 @@ std::vector<std::vector<double>> make_states(std::size_t count,
     for (double &x : s) x = rng.normal(0.0, 1.0);
   }
   return states;
-}
-
-double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 struct OpenLoopResult {
@@ -102,8 +94,8 @@ OpenLoopResult open_loop(treu::rl::MlpQNet &net, std::size_t max_batch,
 
   OpenLoopResult r;
   r.throughput_rps = static_cast<double>(states.size()) / elapsed_s;
-  r.p50_us = percentile(latency_us, 0.50);
-  r.p99_us = percentile(latency_us, 0.99);
+  r.p50_us = treu::core::quantile(latency_us, 0.50);
+  r.p99_us = treu::core::quantile(latency_us, 0.99);
   const auto stats = server.stats();
   r.mean_batch = stats.batches == 0 ? 0.0
                                     : static_cast<double>(stats.completed) /

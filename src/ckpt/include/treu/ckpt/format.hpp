@@ -26,9 +26,16 @@
 // leaves either the old file, the new file, or a stranded `.tmp` — never a
 // torn final file. The optional fault::FileInjector hook simulates exactly
 // those crashes (plus at-rest bit rot) so the recovery scan can be soaked
-// deterministically.
+// deterministically. A failed fsync of the file or of its directory fails
+// the write: the rename is not reported durable when it may not be.
+//
+// RecordLog is the other durable shape: an append-only text log whose
+// appends either land whole and fsynced or leave the file on its last
+// record boundary. The model registry's hash chain and the rollout's
+// write-ahead journal are both a RecordLog with their own record check.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -139,5 +146,80 @@ struct AtomicWriteResult {
 /// Whole-file read; nullopt when the file cannot be opened or read.
 [[nodiscard]] std::optional<std::vector<std::uint8_t>> read_file(
     const std::string &path);
+
+/// fsync a directory, so the renames and file creations inside it are
+/// durable. False when it cannot be opened or synced; errno says why.
+[[nodiscard]] bool fsync_dir(const std::string &dir);
+
+/// Base-10 digits to u64; nullopt when empty, not all digits, or past
+/// UINT64_MAX.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(
+    std::string_view digits) noexcept;
+
+/// The value of a "<key>=<value>" token with exactly this key; nullopt
+/// for any other key or an empty value.
+[[nodiscard]] std::optional<std::string> field(std::string_view token,
+                                               std::string_view key);
+
+/// An append-only text log: a header line, then one newline-terminated
+/// record per line.
+///
+/// A crash mid-append leaves a dangling fragment; rot or tampering leaves a
+/// complete line that the owner's check rejects. scan() classifies both,
+/// and recover() cuts the file back to the accepted prefix. append() keeps
+/// the file on a record boundary whatever fails: a failed write or fsync is
+/// cut back to the length before the append, and a log that cannot cut
+/// back refuses every later append.
+class RecordLog {
+ public:
+  /// Judges one complete record (its line without the newline): None
+  /// accepts it, Torn (structural damage) or Corrupt (a failed digest or
+  /// chain link) rejects it. Called in file order, so it may carry state
+  /// from one record to the next.
+  using Check = std::function<DecodeFailure(std::string_view record)>;
+
+  struct ScanReport {
+    bool missing = false;         // the file could not be read
+    std::size_t torn = 0;         // rejected line or dangling fragment; all
+                                  // lines when the header is damaged
+    std::size_t corrupt = 0;      // rejected line the check called Corrupt
+    std::size_t dropped = 0;      // lines after the rejected one
+    std::size_t valid_bytes = 0;  // header plus the accepted records
+  };
+
+  RecordLog(std::string path, std::string header);
+
+  /// Read-only and never throws on damage: passes each complete line after
+  /// the header to `check` and stops at the first one it rejects.
+  [[nodiscard]] ScanReport scan(const Check &check) const;
+
+  /// scan(), then cut the file to the accepted prefix and fsync it. If that
+  /// fails, the log refuses appends and error() says why.
+  ScanReport recover(const Check &check);
+
+  /// Append `record` (which holds no newline) as one line, after the header
+  /// when the file is empty, then fsync. On failure returns false with
+  /// error() set, and the file is back at its length before the call.
+  [[nodiscard]] bool append(std::string_view record);
+
+  /// A simulated crash mid-append: the first half of the record's line
+  /// reaches the file and nothing is cut back. The log then refuses
+  /// appends, as a dead process would; a fresh log's recover() drops the
+  /// fragment.
+  void tear(std::string_view record);
+
+  /// Why the last append failed, or why the log refuses appends.
+  [[nodiscard]] const std::string &error() const noexcept { return error_; }
+  [[nodiscard]] const std::string &path() const noexcept { return path_; }
+
+ private:
+  bool write_line(std::string_view line);
+  void refuse(std::string why);
+
+  std::string path_;
+  std::string header_;
+  bool refusing_ = false;
+  std::string error_;
+};
 
 }  // namespace treu::ckpt

@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "treu/core/sha256.hpp"
 
@@ -182,23 +184,22 @@ DecodeResult decode_sections(std::span<const std::uint8_t> bytes) {
 
 namespace {
 
-// fsync a path's parent directory so the rename itself is durable.
-void fsync_parent_dir(const std::string &path) {
+std::string parent_dir(const std::string &path) {
   const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    (void)::close(fd);
-  }
+  return slash == std::string::npos ? std::string(".")
+                                    : path.substr(0, slash == 0 ? 1 : slash);
 }
 
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
+// "<what>: <path>: <strerror(errno)>", read before errno can change.
+std::string io_error(const char *what, const std::string &path) {
+  return std::string(what) + ": " + path + ": " + std::strerror(errno);
+}
+
+bool write_all(int fd, const void *data, std::size_t size) {
+  const auto *bytes = static_cast<const char *>(data);
   std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+  while (off < size) {
+    const ssize_t n = ::write(fd, bytes + off, size - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -208,7 +209,32 @@ bool write_all(int fd, std::span<const std::uint8_t> bytes) {
   return true;
 }
 
+// Owns a descriptor. Its owner has synced or cut back what it wrote before
+// the close, so close() has nothing left to report (and on success it
+// leaves errno as the failing call set it).
+struct Fd {
+  explicit Fd(int d) : fd(d) {}
+  ~Fd() {
+    if (fd >= 0) (void)::close(fd);
+  }
+  Fd(const Fd &) = delete;
+  Fd &operator=(const Fd &) = delete;
+  const int fd;
+};
+
+// Lines in `text`, a dangling fragment counting as one.
+std::size_t count_lines(std::string_view text) {
+  return static_cast<std::size_t>(
+             std::count(text.begin(), text.end(), '\n')) +
+         (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
 }  // namespace
+
+bool fsync_dir(const std::string &dir) {
+  const Fd d{::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC)};
+  return d.fd >= 0 && ::fsync(d.fd) == 0;
+}
 
 AtomicWriteResult atomic_write_file(const std::string &path,
                                     std::span<const std::uint8_t> bytes,
@@ -221,7 +247,7 @@ AtomicWriteResult atomic_write_file(const std::string &path,
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    result.error = "cannot open " + tmp + ": " + std::strerror(errno);
+    result.error = io_error("cannot open", tmp);
     return result;
   }
 
@@ -231,20 +257,20 @@ AtomicWriteResult atomic_write_file(const std::string &path,
       decision.kind == fault::FileFaultKind::Truncate
           ? bytes.first(static_cast<std::size_t>(decision.truncate_at))
           : bytes;
-  if (!write_all(fd, payload)) {
-    result.error = "write failed: " + tmp + ": " + std::strerror(errno);
+  if (!write_all(fd, payload.data(), payload.size())) {
+    result.error = io_error("write failed", tmp);
     (void)::close(fd);
     (void)std::remove(tmp.c_str());
     return result;
   }
   if (::fsync(fd) != 0) {
-    result.error = "fsync failed: " + tmp + ": " + std::strerror(errno);
+    result.error = io_error("fsync failed", tmp);
     (void)::close(fd);
     (void)std::remove(tmp.c_str());
     return result;
   }
   if (::close(fd) != 0) {
-    result.error = "close failed: " + tmp + ": " + std::strerror(errno);
+    result.error = io_error("close failed", tmp);
     (void)std::remove(tmp.c_str());
     return result;
   }
@@ -257,11 +283,16 @@ AtomicWriteResult atomic_write_file(const std::string &path,
   }
 
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    result.error = "rename failed: " + path + ": " + std::strerror(errno);
+    result.error = io_error("rename failed", path);
     (void)std::remove(tmp.c_str());
     return result;
   }
-  fsync_parent_dir(path);
+  // Until the directory is synced the rename itself may not survive a
+  // crash, so the write is not committed.
+  if (!fsync_dir(parent_dir(path))) {
+    result.error = io_error("directory fsync failed", parent_dir(path));
+    return result;
+  }
   result.committed = true;
 
   if (decision.kind == fault::FileFaultKind::FlipBit) {
@@ -295,6 +326,126 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string &path) {
   (void)std::fclose(f);
   if (!ok) return std::nullopt;
   return out;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view digits) noexcept {
+  if (digits.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - d) / 10) return std::nullopt;
+    value = value * 10 + d;
+  }
+  return value;
+}
+
+std::optional<std::string> field(std::string_view token,
+                                 std::string_view key) {
+  if (token.size() <= key.size() + 1) return std::nullopt;
+  if (!token.starts_with(key) || token[key.size()] != '=') return std::nullopt;
+  return std::string(token.substr(key.size() + 1));
+}
+
+RecordLog::RecordLog(std::string path, std::string header)
+    : path_(std::move(path)), header_(std::move(header)) {}
+
+RecordLog::ScanReport RecordLog::scan(const Check &check) const {
+  ScanReport report;
+  const auto raw = read_file(path_);
+  if (!raw) {
+    report.missing = true;
+    return report;
+  }
+  const std::string_view text(reinterpret_cast<const char *>(raw->data()),
+                              raw->size());
+  if (!text.starts_with(header_ + '\n')) {
+    // A missing or damaged header orphans every line: their anchor is gone.
+    report.torn = count_lines(text);
+    return report;
+  }
+  report.valid_bytes = header_.size() + 1;
+  while (report.valid_bytes < text.size()) {
+    const std::size_t start = report.valid_bytes;
+    const std::size_t nl = text.find('\n', start);
+    const DecodeFailure verdict =
+        nl == std::string_view::npos ? DecodeFailure::Torn
+                                     : check(text.substr(start, nl - start));
+    if (verdict != DecodeFailure::None) {
+      ++(verdict == DecodeFailure::Torn ? report.torn : report.corrupt);
+      if (nl != std::string_view::npos) {
+        report.dropped = count_lines(text.substr(nl + 1));
+      }
+      break;
+    }
+    report.valid_bytes = nl + 1;
+  }
+  return report;
+}
+
+RecordLog::ScanReport RecordLog::recover(const Check &check) {
+  const ScanReport report = scan(check);
+  if (report.missing) return report;
+  const Fd file{::open(path_.c_str(), O_WRONLY | O_CLOEXEC)};
+  if (file.fd < 0 ||
+      ::ftruncate(file.fd, static_cast<off_t>(report.valid_bytes)) != 0 ||
+      ::fsync(file.fd) != 0) {
+    refuse(io_error("cannot cut back to the last record", path_));
+  }
+  return report;
+}
+
+bool RecordLog::append(std::string_view record) {
+  std::string line(record);
+  line += '\n';
+  return write_line(line);
+}
+
+void RecordLog::tear(std::string_view record) {
+  std::string line(record);
+  line += '\n';
+  // Whether the fragment lands does not matter: a crash may leave either.
+  write_line(std::string_view(line).substr(0, line.size() / 2));
+  refuse("torn by a simulated crash mid-append: " + path_);
+}
+
+bool RecordLog::write_line(std::string_view line) {
+  if (refusing_) return false;
+  error_.clear();
+  const Fd file{
+      ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644)};
+  if (file.fd < 0) {
+    error_ = io_error("open failed", path_);
+    return false;
+  }
+  // The record boundary to cut back to. An empty file gets its header
+  // first, and a newly created file needs its directory entry synced.
+  const off_t boundary = ::lseek(file.fd, 0, SEEK_END);
+  std::string bytes = boundary == 0 ? header_ + '\n' : std::string();
+  bytes += line;
+  const char *failed = nullptr;
+  if (boundary < 0) {
+    failed = "lseek failed";
+  } else if (!write_all(file.fd, bytes.data(), bytes.size())) {
+    failed = "write failed";
+  } else if (::fsync(file.fd) != 0) {
+    failed = "fsync failed";
+  } else if (boundary == 0 && !fsync_dir(parent_dir(path_))) {
+    failed = "directory fsync failed";
+  }
+  if (failed != nullptr) {
+    error_ = io_error(failed, path_);
+    if (boundary >= 0 &&
+        (::ftruncate(file.fd, boundary) != 0 || ::fsync(file.fd) != 0)) {
+      refuse(error_ + "; " + io_error("cannot cut back", path_));
+    }
+  }
+  return failed == nullptr;
+}
+
+void RecordLog::refuse(std::string why) {
+  refusing_ = true;
+  error_ = std::move(why);
 }
 
 }  // namespace treu::ckpt

@@ -1,13 +1,11 @@
 #include "treu/ckpt/store.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "treu/obs/obs.hpp"
@@ -58,14 +56,6 @@ std::optional<Manifest> parse_manifest(const std::vector<std::uint8_t> &raw) {
   return m;
 }
 
-void fsync_dir(const std::string &dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    (void)::close(fd);
-  }
-}
-
 }  // namespace
 
 CheckpointStore::CheckpointStore(std::string dir,
@@ -85,25 +75,15 @@ std::string CheckpointStore::filename_for_step(std::uint64_t step) {
 
 std::optional<std::uint64_t> CheckpointStore::step_of_filename(
     const std::string &filename) {
-  const std::string prefix = kPrefix;
-  const std::string suffix = kSuffix;
-  if (filename.size() <= prefix.size() + suffix.size()) return std::nullopt;
-  if (filename.compare(0, prefix.size(), prefix) != 0) return std::nullopt;
-  if (filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
+  const std::string_view name = filename;
+  const std::string_view prefix = kPrefix;
+  const std::string_view suffix = kSuffix;
+  if (name.size() < prefix.size() + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
     return std::nullopt;
   }
-  const std::string digits = filename.substr(
-      prefix.size(), filename.size() - prefix.size() - suffix.size());
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t step = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (step > (UINT64_MAX - d) / 10) return std::nullopt;
-    step = step * 10 + d;
-  }
-  return step;
+  return parse_u64(name.substr(
+      prefix.size(), name.size() - prefix.size() - suffix.size()));
 }
 
 std::string CheckpointStore::manifest_path() const {
@@ -179,9 +159,10 @@ CheckpointStore::RecoverReport CheckpointStore::recover() {
               !candidates.empty()) {
             if (const auto bytes = read_file(dir_ + "/" + manifest->filename)) {
               if (hex(core::sha256(*bytes)) == manifest->digest_hex) {
+                // Completed only once the rename is durable.
                 salvaged =
-                    std::rename(tmp.c_str(), manifest_path().c_str()) == 0;
-                if (salvaged) fsync_dir(dir_);
+                    std::rename(tmp.c_str(), manifest_path().c_str()) == 0 &&
+                    fsync_dir(dir_);
               }
             }
           }

@@ -7,10 +7,9 @@
 //
 //   1. the checkpoint container commits through the store's atomic
 //      tmp+fsync+rename protocol (ckpt-<step>.treu);
-//   2. one record is appended to <dir>/registry.log — write(2) with
-//      O_APPEND, then fsync — naming the file, its SHA-256, the
-//      checkpoint's weight digest, and the digest of the *previous*
-//      record.
+//   2. one fsynced record is appended to <dir>/registry.log (a
+//      ckpt::RecordLog) naming the file, its SHA-256, the checkpoint's
+//      weight digest, and the digest of the *previous* record.
 //
 // Each record's own digest covers its predecessor's, so the log is a hash
 // chain anchored at a fixed genesis string: truncating, reordering, or
@@ -19,8 +18,9 @@
 // mid-append leaves a torn tail record; bit rot leaves a record whose
 // digest no longer verifies. scan() never throws on either: it classifies
 // (torn vs corrupt), keeps the verified prefix, and reports what it
-// dropped. repair() (run at construction) truncates the torn tail so the
-// next append starts on a record boundary.
+// dropped. Construction cuts the log back to that prefix, and a failed
+// append is cut back at once, so every append starts on a record
+// boundary.
 //
 // A chain-verified record is necessary but not sufficient to serve from:
 // the checkpoint *file* can rot independently of the log. An entry is
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "treu/ckpt/checkpoint.hpp"
+#include "treu/ckpt/format.hpp"
 #include "treu/ckpt/store.hpp"
 
 namespace treu::pipeline {
@@ -58,18 +59,19 @@ struct PublishFaults {
   /// Flip one bit of the committed checkpoint file after the digest was
   /// recorded — at-rest rot between publish and verification.
   bool corrupt_file = false;
-  /// Crash mid log-append: only a prefix of the record reaches the log and
-  /// the in-memory registry must be discarded, exactly as if the process
-  /// died. The caller treats the publish as never having happened.
+  /// Crash mid log-append: only a prefix of the record reaches the log,
+  /// and the registry's log refuses further appends, exactly as if the
+  /// process died. The caller discards the registry and treats the publish
+  /// as never having happened.
   bool tear_log = false;
 };
 
 class ModelRegistry {
  public:
-  /// Opens (creating if needed) the registry at `dir`. Runs a scan and
-  /// repairs the log's torn tail, so appends resume on a record boundary
-  /// after any crash. `injector` (not owned, may be null) faults the
-  /// checkpoint writes, same as CheckpointStore.
+  /// Opens (creating if needed) the registry at `dir`. Chain-verifies the
+  /// log and cuts it back to the verified prefix, so appends resume on a
+  /// record boundary after any crash. `injector` (not owned, may be null)
+  /// faults the checkpoint writes, same as CheckpointStore.
   explicit ModelRegistry(std::string dir,
                          fault::FileInjector *injector = nullptr);
 
@@ -131,12 +133,9 @@ class ModelRegistry {
   [[nodiscard]] static std::string genesis_digest();
 
  private:
-  bool append_record(const RegistryEntry &entry, bool tear,
-                     std::string *error);
-  void repair();  // truncate the log to its verified prefix
-
   std::string dir_;
   ckpt::CheckpointStore store_;
+  ckpt::RecordLog log_;  // registry.log; its record check is the chain
   // Verified chain as of construction plus successful publishes since.
   std::vector<RegistryEntry> entries_;
 };

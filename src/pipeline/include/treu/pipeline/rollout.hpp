@@ -8,9 +8,12 @@
 //
 // Every transition is journaled to an append-only state file *before* the
 // action it names runs (write-ahead intent logging), and each journal
-// append is fsynced. A controller killed at any instruction therefore
-// leaves a journal whose last line names exactly how far the cycle got,
-// and resume() completes the cycle from that line alone:
+// append is fsynced (a ckpt::RecordLog). A journal line that cannot be
+// made durable halts the controller exactly as a crash at that point
+// would: the action it precedes never runs. A controller killed at any
+// instruction therefore leaves a journal whose last line names exactly how
+// far the cycle got, and resume() completes the cycle from that line
+// alone:
 //
 //   last line            resume action
 //   cycle <n> ...        rollback  (published, never canaried)
@@ -123,7 +126,8 @@ struct CycleReport {
   bool published = false;  // chain record durable
   bool vetted = false;     // post-publish verification passed
   bool pass = false;       // canary verdict
-  bool crashed = false;    // halted mid-cycle (injected or crash_point)
+  bool crashed = false;    // halted mid-cycle: injected, crash_point, or a
+                           // journal line that did not reach disk
   RolloutState state = RolloutState::Idle;  // terminal state reached
   RegistryEntry entry;
   CanaryVerdict verdict;
@@ -140,9 +144,10 @@ struct ResumeReport {
 
 class RolloutController {
  public:
-  /// Reads the journal at `journal_path` (creating it if missing) to
-  /// restore cycle count, incumbent, and any interrupted cycle. Does not
-  /// act on an interrupted cycle — call resume() before run_cycle().
+  /// Replays the journal at `journal_path` to restore cycle count,
+  /// incumbent, and any interrupted cycle, and cuts a torn tail. A missing
+  /// or empty journal is a fresh one; the first append creates it. Does
+  /// not act on an interrupted cycle — call resume() before run_cycle().
   RolloutController(ModelRegistry &registry, RolloutHooks hooks,
                     const RolloutConfig &config, std::string journal_path);
 
@@ -168,7 +173,7 @@ class RolloutController {
     return pending_resume_;
   }
   [[nodiscard]] const std::string &journal_path() const noexcept {
-    return journal_path_;
+    return journal_.path();
   }
   /// Current on-disk journal bytes (the byte-identity surface).
   [[nodiscard]] std::string journal_string() const;
@@ -176,9 +181,16 @@ class RolloutController {
  private:
   struct JournalTail;  // defined in rollout.cpp
 
-  bool journal_append(const std::string &line);
-  void journal_state(std::uint64_t cycle, RolloutState s);
-  [[nodiscard]] bool crash_here(CrashPoint point);
+  // Halt as a kill here would: no further journal line or action. The
+  // report (null from resume) records the crash.
+  void halt(CycleReport *report);
+  // Write-ahead append; false (and halted) when the line is not durable.
+  [[nodiscard]] bool journal_append(const std::string &line,
+                                    CycleReport *report);
+  // Journal "state <cycle> <s>", then enter s.
+  [[nodiscard]] bool enter_state(std::uint64_t cycle, RolloutState s,
+                                 CycleReport *report);
+  [[nodiscard]] bool crash_here(CrashPoint point, CycleReport *report);
   void do_promote(std::uint64_t cycle, const RegistryEntry &entry,
                   CycleReport *report);
   void do_rollback(std::uint64_t cycle, bool rolling_back_journaled,
@@ -187,7 +199,7 @@ class RolloutController {
   ModelRegistry &registry_;
   RolloutHooks hooks_;
   RolloutConfig config_;
-  std::string journal_path_;
+  ckpt::RecordLog journal_;
 
   RolloutState state_ = RolloutState::Idle;
   std::uint64_t cycle_ = 0;              // last cycle number seen/used

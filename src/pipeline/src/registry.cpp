@@ -1,46 +1,17 @@
 #include "treu/pipeline/registry.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <sstream>
 #include <utility>
 
 #include "treu/core/sha256.hpp"
 #include "treu/obs/obs.hpp"
 
-namespace fs = std::filesystem;
-
 namespace treu::pipeline {
 namespace {
 
 constexpr const char *kLogHeader = "treu-model-registry v1";
 constexpr const char *kRecordTag = "entry";
-
-// Field helper: "<key>=<value>" with the exact key, or nullopt.
-std::optional<std::string> field(const std::string &token,
-                                 const std::string &key) {
-  if (token.size() <= key.size() + 1) return std::nullopt;
-  if (token.compare(0, key.size(), key) != 0) return std::nullopt;
-  if (token[key.size()] != '=') return std::nullopt;
-  return token.substr(key.size() + 1);
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string &digits) {
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - d) / 10) return std::nullopt;
-    value = value * 10 + d;
-  }
-  return value;
-}
 
 bool valid_hex64(const std::string &s) {
   if (s.size() != 64) return false;
@@ -54,8 +25,8 @@ bool valid_hex64(const std::string &s) {
 
 // "entry v=<n> step=<n> file=<name> weights=<hex> bytes=<hex> prev=<hex>
 //  d=<hex>"  (one line). Structural damage -> nullopt.
-std::optional<RegistryEntry> parse_record(const std::string &line) {
-  std::istringstream in(line);
+std::optional<RegistryEntry> parse_record(std::string_view line) {
+  std::istringstream in{std::string(line)};
   std::string tag, v, step, file, weights, bytes, prev, d, extra;
   if (!(in >> tag >> v >> step >> file >> weights >> bytes >> prev >> d)) {
     return std::nullopt;
@@ -63,18 +34,18 @@ std::optional<RegistryEntry> parse_record(const std::string &line) {
   if (in >> extra) return std::nullopt;
   if (tag != kRecordTag) return std::nullopt;
   RegistryEntry e;
-  const auto fv = field(v, "v");
-  const auto fstep = field(step, "step");
-  const auto ffile = field(file, "file");
-  const auto fweights = field(weights, "weights");
-  const auto fbytes = field(bytes, "bytes");
-  const auto fprev = field(prev, "prev");
-  const auto fd = field(d, "d");
+  const auto fv = ckpt::field(v, "v");
+  const auto fstep = ckpt::field(step, "step");
+  const auto ffile = ckpt::field(file, "file");
+  const auto fweights = ckpt::field(weights, "weights");
+  const auto fbytes = ckpt::field(bytes, "bytes");
+  const auto fprev = ckpt::field(prev, "prev");
+  const auto fd = ckpt::field(d, "d");
   if (!fv || !fstep || !ffile || !fweights || !fbytes || !fprev || !fd) {
     return std::nullopt;
   }
-  const auto version = parse_u64(*fv);
-  const auto step_n = parse_u64(*fstep);
+  const auto version = ckpt::parse_u64(*fv);
+  const auto step_n = ckpt::parse_u64(*fstep);
   if (!version || !step_n) return std::nullopt;
   if (!valid_hex64(*fweights) || !valid_hex64(*fbytes) ||
       !valid_hex64(*fprev) || !valid_hex64(*fd)) {
@@ -103,40 +74,26 @@ std::string format_record(const RegistryEntry &e) {
   line += " bytes=" + e.file_digest;
   line += " prev=" + e.prev_digest;
   line += " d=" + e.entry_digest;
-  line += '\n';
   return line;
 }
 
-// Append `text` to `path` and fsync. `tear` keeps only the first half of
-// the bytes — the on-disk footprint of a crash mid-append.
-bool append_fsync(const std::string &path, const std::string &text, bool tear,
-                  std::string *error) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) {
-    if (error) *error = "open failed: " + path + ": " + std::strerror(errno);
-    return false;
-  }
-  const std::size_t n = tear ? text.size() / 2 : text.size();
-  std::size_t written = 0;
-  bool ok = true;
-  while (written < n) {
-    const ssize_t w = ::write(fd, text.data() + written, n - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (error) {
-        *error = "write failed: " + path + ": " + std::strerror(errno);
-      }
-      ok = false;
-      break;
+// The check the log runs on each record: structurally sound (else Torn),
+// then linked by digest to the entry before it (else Corrupt). Accepted
+// entries collect in `chain`.
+ckpt::RecordLog::Check chain_check(std::vector<RegistryEntry> &chain) {
+  return [&chain](std::string_view line) {
+    std::optional<RegistryEntry> e = parse_record(line);
+    if (!e) return ckpt::DecodeFailure::Torn;
+    const std::string prev = chain.empty() ? ModelRegistry::genesis_digest()
+                                           : chain.back().entry_digest;
+    if (e->prev_digest != prev || e->version != chain.size() + 1 ||
+        e->entry_digest !=
+            core::sha256(ModelRegistry::canonical_record(*e)).hex()) {
+      return ckpt::DecodeFailure::Corrupt;
     }
-    written += static_cast<std::size_t>(w);
-  }
-  if (ok && ::fsync(fd) != 0) {
-    if (error) *error = "fsync failed: " + path + ": " + std::strerror(errno);
-    ok = false;
-  }
-  (void)::close(fd);
-  return ok;
+    chain.push_back(std::move(*e));
+    return ckpt::DecodeFailure::None;
+  };
 }
 
 }  // namespace
@@ -157,95 +114,24 @@ std::string ModelRegistry::genesis_digest() {
 }
 
 ModelRegistry::ModelRegistry(std::string dir, fault::FileInjector *injector)
-    : dir_(std::move(dir)), store_(dir_, injector) {
+    : dir_(std::move(dir)),
+      store_(dir_, injector),
+      log_(log_path(), kLogHeader) {
   // CheckpointStore's constructor created the directory. Load the verified
-  // chain and drop any torn tail so the next append starts clean.
-  const ScanReport report = scan();
-  entries_ = report.entries;
-  repair();
-}
-
-void ModelRegistry::repair() {
-  const auto raw = ckpt::read_file(log_path());
-  if (!raw) return;
-  // Rebuild the byte length of the verified prefix: header + each verified
-  // record, all newline-terminated.
-  std::string good = std::string(kLogHeader) + "\n";
-  for (const auto &e : entries_) good += format_record(e);
-  const std::string on_disk(raw->begin(), raw->end());
-  if (on_disk == good) return;
-  if (on_disk.size() > good.size() &&
-      on_disk.compare(0, good.size(), good) == 0) {
-    // Torn/bad tail after a verified prefix: truncate to the boundary.
-    std::error_code ec;
-    fs::resize_file(log_path(), good.size(), ec);
-    return;
-  }
-  // The header itself (or the whole prefix) is damaged: scan() already
-  // reported zero verified entries for this shape, so restart the log.
-  if (entries_.empty()) {
-    std::error_code ec;
-    fs::remove(log_path(), ec);
-  }
+  // chain and cut the log back to it, so the next append starts on a
+  // record boundary after any crash.
+  log_.recover(chain_check(entries_));
+  for (auto &entry : entries_) entry.vetted = verify_entry(entry);
 }
 
 ModelRegistry::ScanReport ModelRegistry::scan() const {
   ScanReport report;
-  const auto raw = ckpt::read_file(log_path());
-  if (!raw) {
-    report.log_missing = true;
-    return report;
-  }
-  const std::string text(raw->begin(), raw->end());
-
-  // Split into newline-terminated lines; a dangling final fragment is the
-  // classic torn append.
-  std::vector<std::string> lines;
-  bool dangling = false;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      dangling = true;
-      lines.push_back(text.substr(start));
-      break;
-    }
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-
-  if (lines.empty() || lines[0] != kLogHeader) {
-    // No verifiable chain at all: a missing or damaged header orphans
-    // every record (their provenance anchor is gone).
-    report.torn = lines.size();
-    return report;
-  }
-
-  std::string prev = genesis_digest();
-  std::uint64_t next_version = 1;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const bool is_dangling_tail = dangling && i + 1 == lines.size();
-    const std::optional<RegistryEntry> parsed =
-        is_dangling_tail ? std::optional<RegistryEntry>{}
-                         : parse_record(lines[i]);
-    if (!parsed) {
-      ++report.torn;
-      report.dropped = lines.size() - i - 1;
-      break;
-    }
-    const bool chain_ok =
-        parsed->prev_digest == prev && parsed->version == next_version &&
-        parsed->entry_digest == core::sha256(canonical_record(*parsed)).hex();
-    if (!chain_ok) {
-      ++report.corrupt;
-      report.dropped = lines.size() - i - 1;
-      break;
-    }
-    prev = parsed->entry_digest;
-    ++next_version;
-    report.entries.push_back(std::move(*parsed));
-  }
-
+  const ckpt::RecordLog::ScanReport log =
+      log_.scan(chain_check(report.entries));
+  report.log_missing = log.missing;
+  report.torn = log.torn;
+  report.corrupt = log.corrupt;
+  report.dropped = log.dropped;
   for (auto &entry : report.entries) {
     entry.vetted = verify_entry(entry);
     if (!entry.vetted) ++report.unvetted;
@@ -285,17 +171,6 @@ std::optional<RegistryEntry> ModelRegistry::entry_for_version(
     if (e.version == version) return e;
   }
   return std::nullopt;
-}
-
-bool ModelRegistry::append_record(const RegistryEntry &entry, bool tear,
-                                  std::string *error) {
-  if (!fs::exists(log_path())) {
-    if (!append_fsync(log_path(), std::string(kLogHeader) + "\n", false,
-                      error)) {
-      return false;
-    }
-  }
-  return append_fsync(log_path(), format_record(entry), tear, error);
 }
 
 ModelRegistry::PublishReport ModelRegistry::publish(
@@ -339,15 +214,15 @@ ModelRegistry::PublishReport ModelRegistry::publish(
   entry.entry_digest = core::sha256(canonical_record(entry)).hex();
 
   if (faults.tear_log) {
-    std::string error;
-    (void)append_record(entry, /*tear=*/true, &error);
+    log_.tear(format_record(entry));
     report.torn_log = true;
     report.error = "registry log append torn (simulated crash)";
     TREU_OBS_COUNTER_ADD("pipeline.publish.torn_log", 1);
     return report;
   }
 
-  if (!append_record(entry, /*tear=*/false, &report.error)) {
+  if (!log_.append(format_record(entry))) {
+    report.error = log_.error();
     TREU_OBS_COUNTER_ADD("pipeline.publish.failed", 1);
     return report;
   }

@@ -1,12 +1,7 @@
 #include "treu/pipeline/rollout.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,57 +9,15 @@
 
 #include "treu/obs/obs.hpp"
 
-namespace fs = std::filesystem;
-
 namespace treu::pipeline {
 namespace {
 
 constexpr const char *kJournalHeader = "treu-rollout-journal v1";
 
-bool append_fsync(const std::string &path, const std::string &text) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  std::size_t written = 0;
-  bool ok = true;
-  while (written < text.size()) {
-    const ssize_t w =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    written += static_cast<std::size_t>(w);
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  (void)::close(fd);
-  return ok;
-}
-
 std::string fixed6(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", value);
   return buf;
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string &digits) {
-  if (digits.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - d) / 10) return std::nullopt;
-    value = value * 10 + d;
-  }
-  return value;
-}
-
-std::optional<std::string> field(const std::string &token,
-                                 const std::string &key) {
-  if (token.size() <= key.size() + 1) return std::nullopt;
-  if (token.compare(0, key.size(), key) != 0) return std::nullopt;
-  if (token[key.size()] != '=') return std::nullopt;
-  return token.substr(key.size() + 1);
 }
 
 std::optional<RolloutState> state_from_name(const std::string &name) {
@@ -89,9 +42,87 @@ struct RolloutController::JournalTail {
   bool open_pass = false;
   RolloutState terminal = RolloutState::Idle;  // when not open
   std::uint64_t incumbent_version = 0;
-  std::size_t torn_lines = 0;
-  std::size_t good_bytes = 0;  // journal prefix that parsed clean
+  std::unordered_map<std::uint64_t, std::uint64_t> cycle_version;
+
+  // The journal's record check: replay one line, or reject it as torn.
+  ckpt::DecodeFailure replay(std::string_view line);
 };
+
+ckpt::DecodeFailure RolloutController::JournalTail::replay(
+    std::string_view line) {
+  std::istringstream in{std::string(line)};
+  std::string tag;
+  in >> tag;
+  bool line_ok = false;
+  if (tag == "cycle") {
+    std::string n_tok, v_tok, step_tok, w_tok;
+    if (in >> n_tok >> v_tok >> step_tok >> w_tok) {
+      const auto n = ckpt::parse_u64(n_tok);
+      const auto v = ckpt::field(v_tok, "version");
+      if (n && v) {
+        if (const auto version = ckpt::parse_u64(*v)) {
+          cycle_version[*n] = *version;
+          last_cycle = std::max(last_cycle, *n);
+          open = true;
+          open_cycle = *n;
+          open_version = *version;
+          open_from = RolloutState::Idle;
+          open_has_verdict = false;
+          line_ok = true;
+        }
+      }
+    }
+  } else if (tag == "state") {
+    std::string n_tok, name;
+    if (in >> n_tok >> name) {
+      const auto n = ckpt::parse_u64(n_tok);
+      const auto s = state_from_name(name);
+      if (n && s) {
+        last_cycle = std::max(last_cycle, *n);
+        if (*s == RolloutState::Promoted || *s == RolloutState::RolledBack) {
+          open = false;
+          terminal = *s;
+          if (*s == RolloutState::Promoted) {
+            incumbent_version = cycle_version[*n];
+          }
+        } else {
+          open = true;
+          open_cycle = *n;
+          open_from = *s;
+        }
+        line_ok = true;
+      }
+    }
+  } else if (tag == "verdict") {
+    std::string n_tok, cand, inc, goodput, errors, outcome;
+    if (in >> n_tok >> cand >> inc >> goodput >> errors >> outcome) {
+      const auto n = ckpt::parse_u64(n_tok);
+      if (n && (outcome == "pass" || outcome == "fail")) {
+        open = true;
+        open_cycle = *n;
+        open_from = RolloutState::Canary;
+        open_has_verdict = true;
+        open_pass = outcome == "pass";
+        line_ok = true;
+      }
+    }
+  } else if (tag == "rejected") {
+    std::string n_tok;
+    if (in >> n_tok) {
+      const auto n = ckpt::parse_u64(n_tok);
+      if (n) {
+        last_cycle = std::max(last_cycle, *n);
+        open = false;
+        terminal = RolloutState::Idle;
+        line_ok = true;
+      }
+    }
+  } else if (tag == "resume") {
+    std::string n_tok;
+    if (in >> n_tok && ckpt::parse_u64(n_tok)) line_ok = true;
+  }
+  return line_ok ? ckpt::DecodeFailure::None : ckpt::DecodeFailure::Torn;
+}
 
 RolloutController::RolloutController(ModelRegistry &registry,
                                      RolloutHooks hooks,
@@ -100,152 +131,27 @@ RolloutController::RolloutController(ModelRegistry &registry,
     : registry_(registry),
       hooks_(std::move(hooks)),
       config_(config),
-      journal_path_(std::move(journal_path)) {
+      journal_(std::move(journal_path), kJournalHeader) {
   if (!hooks_.start_canary || !hooks_.score || !hooks_.promote ||
       !hooks_.rollback) {
     throw std::invalid_argument("RolloutController: empty hook");
   }
 
-  const auto raw = ckpt::read_file(journal_path_);
-  if (!raw) {
-    (void)append_fsync(journal_path_, std::string(kJournalHeader) + "\n");
-    return;
-  }
-
-  // Replay the journal. Stop at the first unparseable line (torn append or
-  // rot) and truncate to the clean prefix so the next append starts on a
-  // record boundary — the same classified-recovery posture as the registry.
-  const std::string text(raw->begin(), raw->end());
+  // Replay the journal up to its first unparseable line (torn append or
+  // rot) and cut it there, so the next append starts on a record boundary
+  // — the same classified recovery as the registry.
   JournalTail tail;
-  std::unordered_map<std::uint64_t, std::uint64_t> cycle_version;
-  std::size_t start = 0;
-  bool first = true;
-  bool bad = false;
-  std::size_t remaining_lines = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      bad = true;  // dangling fragment: torn append
-      ++remaining_lines;
-      break;
-    }
-    const std::string line = text.substr(start, nl - start);
-
-    if (first) {
-      if (line != kJournalHeader) {
-        bad = true;
-        ++remaining_lines;
-        break;
-      }
-      first = false;
-      start = nl + 1;
-      tail.good_bytes = start;
-      continue;
-    }
-
-    std::istringstream in(line);
-    std::string tag;
-    in >> tag;
-    bool line_ok = false;
-    if (tag == "cycle") {
-      std::string n_tok, v_tok, step_tok, w_tok;
-      if (in >> n_tok >> v_tok >> step_tok >> w_tok) {
-        const auto n = parse_u64(n_tok);
-        const auto v = field(v_tok, "version");
-        if (n && v) {
-          if (const auto version = parse_u64(*v)) {
-            cycle_version[*n] = *version;
-            tail.last_cycle = std::max(tail.last_cycle, *n);
-            tail.open = true;
-            tail.open_cycle = *n;
-            tail.open_version = *version;
-            tail.open_from = RolloutState::Idle;
-            tail.open_has_verdict = false;
-            line_ok = true;
-          }
-        }
-      }
-    } else if (tag == "state") {
-      std::string n_tok, name;
-      if (in >> n_tok >> name) {
-        const auto n = parse_u64(n_tok);
-        const auto s = state_from_name(name);
-        if (n && s) {
-          tail.last_cycle = std::max(tail.last_cycle, *n);
-          if (*s == RolloutState::Promoted ||
-              *s == RolloutState::RolledBack) {
-            tail.open = false;
-            tail.terminal = *s;
-            if (*s == RolloutState::Promoted) {
-              tail.incumbent_version = cycle_version[*n];
-            }
-          } else {
-            tail.open = true;
-            tail.open_cycle = *n;
-            tail.open_from = *s;
-          }
-          line_ok = true;
-        }
-      }
-    } else if (tag == "verdict") {
-      std::string n_tok, cand, inc, goodput, errors, outcome;
-      if (in >> n_tok >> cand >> inc >> goodput >> errors >> outcome) {
-        const auto n = parse_u64(n_tok);
-        if (n && (outcome == "pass" || outcome == "fail")) {
-          tail.open = true;
-          tail.open_cycle = *n;
-          tail.open_from = RolloutState::Canary;
-          tail.open_has_verdict = true;
-          tail.open_pass = outcome == "pass";
-          line_ok = true;
-        }
-      }
-    } else if (tag == "rejected") {
-      std::string n_tok, rest;
-      if (in >> n_tok) {
-        const auto n = parse_u64(n_tok);
-        if (n) {
-          tail.last_cycle = std::max(tail.last_cycle, *n);
-          tail.open = false;
-          tail.terminal = RolloutState::Idle;
-          line_ok = true;
-        }
-      }
-    } else if (tag == "resume") {
-      std::string n_tok;
-      if (in >> n_tok && parse_u64(n_tok)) line_ok = true;
-    }
-
-    if (!line_ok) {
-      bad = true;
-      break;
-    }
-    start = nl + 1;
-    tail.good_bytes = start;
-  }
-  if (bad) {
-    // Count the torn tail (first bad line plus everything after it).
-    std::size_t pos = tail.good_bytes;
-    tail.torn_lines = remaining_lines;
-    while (pos < text.size()) {
-      const std::size_t nl = text.find('\n', pos);
-      ++tail.torn_lines;
-      if (nl == std::string::npos) break;
-      pos = nl + 1;
-    }
-    if (remaining_lines > 0 && tail.torn_lines > 0) {
-      --tail.torn_lines;  // the dangling fragment was counted once already
-    }
-    std::error_code ec;
-    fs::resize_file(journal_path_, tail.good_bytes, ec);
-  }
+  const ckpt::RecordLog::ScanReport cut = journal_.recover(
+      [&tail](std::string_view line) { return tail.replay(line); });
 
   cycle_ = tail.last_cycle;
   incumbent_version_ = tail.incumbent_version;
-  torn_journal_lines_ = tail.torn_lines;
+  torn_journal_lines_ = cut.torn + cut.corrupt + cut.dropped;
   if (tail.open) {
     // open_version may come from an earlier `cycle` line of the same cycle.
-    if (tail.open_version == 0) tail.open_version = cycle_version[tail.open_cycle];
+    if (tail.open_version == 0) {
+      tail.open_version = tail.cycle_version[tail.open_cycle];
+    }
     pending_resume_ = true;
     pending_cycle_ = tail.open_cycle;
     pending_version_ = tail.open_version;
@@ -259,24 +165,41 @@ RolloutController::RolloutController(ModelRegistry &registry,
 }
 
 std::string RolloutController::journal_string() const {
-  const auto raw = ckpt::read_file(journal_path_);
+  const auto raw = ckpt::read_file(journal_.path());
   if (!raw) return {};
   return std::string(raw->begin(), raw->end());
 }
 
-bool RolloutController::journal_append(const std::string &line) {
-  return append_fsync(journal_path_, line + "\n");
-}
-
-void RolloutController::journal_state(std::uint64_t cycle, RolloutState s) {
-  (void)journal_append("state " + std::to_string(cycle) + " " +
-                       to_string(s));
-}
-
-bool RolloutController::crash_here(CrashPoint point) {
-  if (config_.crash_point != point) return false;
+void RolloutController::halt(CycleReport *report) {
   halted_ = true;
+  if (report != nullptr) {
+    report->crashed = true;
+    report->state = state_;
+  }
+}
+
+bool RolloutController::journal_append(const std::string &line,
+                                       CycleReport *report) {
+  if (journal_.append(line)) return true;
+  halt(report);
+  if (report != nullptr) report->error = journal_.error();
+  return false;
+}
+
+bool RolloutController::enter_state(std::uint64_t cycle, RolloutState s,
+                                    CycleReport *report) {
+  if (!journal_append("state " + std::to_string(cycle) + " " + to_string(s),
+                      report)) {
+    return false;
+  }
+  state_ = s;
+  return true;
+}
+
+bool RolloutController::crash_here(CrashPoint point, CycleReport *report) {
+  if (config_.crash_point != point) return false;
   TREU_OBS_COUNTER_ADD("pipeline.crashes_simulated", 1);
+  halt(report);
   return true;
 }
 
@@ -284,20 +207,13 @@ void RolloutController::do_promote(std::uint64_t cycle,
                                    const RegistryEntry &entry,
                                    CycleReport *report) {
   const bool ok = hooks_.promote(entry);
-  if (crash_here(CrashPoint::AfterPromoteApply)) {
-    if (report != nullptr) {
-      report->crashed = true;
-      report->state = state_;
-    }
-    return;
-  }
+  if (crash_here(CrashPoint::AfterPromoteApply, report)) return;
   if (!ok) {
     if (report != nullptr) report->error = "promote hook failed";
     do_rollback(cycle, /*rolling_back_journaled=*/false, report);
     return;
   }
-  journal_state(cycle, RolloutState::Promoted);
-  state_ = RolloutState::Promoted;
+  if (!enter_state(cycle, RolloutState::Promoted, report)) return;
   incumbent_version_ = entry.version;
   TREU_OBS_COUNTER_ADD("pipeline.promotions_total", 1);
   TREU_OBS_FR_EVENT(PipelinePromote, 0, entry.version, cycle);
@@ -307,17 +223,12 @@ void RolloutController::do_promote(std::uint64_t cycle,
 void RolloutController::do_rollback(std::uint64_t cycle,
                                     bool rolling_back_journaled,
                                     CycleReport *report) {
-  state_ = RolloutState::RollingBack;
-  if (!rolling_back_journaled) {
-    journal_state(cycle, RolloutState::RollingBack);
-  }
-  if (crash_here(CrashPoint::AfterRollingBackEnter)) {
-    if (report != nullptr) {
-      report->crashed = true;
-      report->state = state_;
-    }
+  // A journaled rolling-back line is where resume found state_ already.
+  if (!rolling_back_journaled &&
+      !enter_state(cycle, RolloutState::RollingBack, report)) {
     return;
   }
+  if (crash_here(CrashPoint::AfterRollingBackEnter, report)) return;
   if (!hooks_.rollback()) {
     // The incumbent could not be restored: stop rather than journal a
     // convergence that did not happen. A fresh controller retries.
@@ -328,8 +239,7 @@ void RolloutController::do_rollback(std::uint64_t cycle,
     }
     return;
   }
-  journal_state(cycle, RolloutState::RolledBack);
-  state_ = RolloutState::RolledBack;
+  if (!enter_state(cycle, RolloutState::RolledBack, report)) return;
   TREU_OBS_COUNTER_ADD("pipeline.rollbacks_total", 1);
   TREU_OBS_FR_EVENT(PipelineRollback, 0, incumbent_version_, cycle);
   if (report != nullptr) report->state = state_;
@@ -376,22 +286,20 @@ ResumeReport RolloutController::resume() {
     }
   }
 
-  (void)journal_append("resume " + std::to_string(n) + " from=" + from_tag +
-                       " action=" +
-                       (promote_action ? "promote" : "rollback"));
-  TREU_OBS_COUNTER_ADD("pipeline.resumes_total", 1);
-  TREU_OBS_FR_EVENT(PipelineResume, 0, n,
-                    static_cast<std::uint64_t>(pending_from_));
-
-  pending_resume_ = false;
-  if (promote_action) {
-    if (pending_from_ != RolloutState::Promoting) {
-      state_ = RolloutState::Promoting;
-      journal_state(n, RolloutState::Promoting);
+  if (journal_append("resume " + std::to_string(n) + " from=" + from_tag +
+                         " action=" +
+                         (promote_action ? "promote" : "rollback"),
+                     nullptr)) {
+    TREU_OBS_COUNTER_ADD("pipeline.resumes_total", 1);
+    TREU_OBS_FR_EVENT(PipelineResume, 0, n,
+                      static_cast<std::uint64_t>(pending_from_));
+    pending_resume_ = false;
+    if (!promote_action) {
+      do_rollback(n, pending_from_ == RolloutState::RollingBack, nullptr);
+    } else if (pending_from_ == RolloutState::Promoting ||
+               enter_state(n, RolloutState::Promoting, nullptr)) {
+      do_promote(n, *entry, nullptr);
     }
-    do_promote(n, *entry, nullptr);
-  } else {
-    do_rollback(n, pending_from_ == RolloutState::RollingBack, nullptr);
   }
   rr.state = state_;
   return rr;
@@ -428,56 +336,45 @@ CycleReport RolloutController::run_cycle(
   if (pub.torn_log) {
     // The registry log append tore: on real hardware this is the process
     // dying mid-write. Halt without journaling — the restarted registry's
-    // repair drops the torn record, and this cycle never happened.
-    halted_ = true;
+    // recovery drops the torn record, and this cycle never happened.
+    halt(&report);
     --cycle_;
     report.cycle = 0;
-    report.crashed = true;
-    report.error = pub.error;
-    report.state = state_;
-    return report;
-  }
-  if (!pub.logged) {
-    (void)journal_append("rejected " + std::to_string(n) +
-                         " version=0 reason=publish-failed");
-    state_ = RolloutState::Idle;
-    report.state = state_;
     report.error = pub.error;
     return report;
   }
-  report.published = true;
+  report.published = pub.logged;
   report.entry = pub.entry;
   report.vetted = pub.vetted;
+  report.error = pub.error;
   if (!pub.vetted) {
-    // Chain record is durable but the container failed read-back
-    // verification (e.g. PublishCorrupt): never let it near traffic.
-    (void)journal_append("rejected " + std::to_string(n) +
-                         " version=" + std::to_string(pub.entry.version) +
-                         " reason=unvetted");
-    state_ = RolloutState::Idle;
-    report.state = state_;
+    // The publish failed, or its chain record is durable but the container
+    // failed read-back verification (e.g. PublishCorrupt): never let it
+    // near traffic.
+    if (journal_append("rejected " + std::to_string(n) + " version=" +
+                           std::to_string(pub.entry.version) + " reason=" +
+                           (pub.logged ? "unvetted" : "publish-failed"),
+                       &report)) {
+      state_ = RolloutState::Idle;
+      report.state = state_;
+    }
     return report;
   }
 
-  (void)journal_append(
-      "cycle " + std::to_string(n) +
-      " version=" + std::to_string(pub.entry.version) +
-      " step=" + std::to_string(pub.entry.step) +
-      " weights=" + pub.entry.weight_digest);
-  if (crash_here(CrashPoint::AfterPublish)) {
-    report.crashed = true;
-    report.state = state_;
+  // Each write-ahead line comes before the action it names. A line that
+  // cannot be made durable halts the controller where a crash would.
+  if (!journal_append("cycle " + std::to_string(n) +
+                          " version=" + std::to_string(pub.entry.version) +
+                          " step=" + std::to_string(pub.entry.step) +
+                          " weights=" + pub.entry.weight_digest,
+                      &report) ||
+      crash_here(CrashPoint::AfterPublish, &report)) {
     return report;
   }
 
-  state_ = RolloutState::Canary;
-  journal_state(n, RolloutState::Canary);
+  if (!enter_state(n, RolloutState::Canary, &report)) return report;
   TREU_OBS_FR_EVENT(PipelineCanaryStart, 0, pub.entry.version, n);
-  if (crash_here(CrashPoint::AfterCanaryEnter)) {
-    report.crashed = true;
-    report.state = state_;
-    return report;
-  }
+  if (crash_here(CrashPoint::AfterCanaryEnter, &report)) return report;
 
   const bool canary_ok = hooks_.start_canary(pub.entry);
 
@@ -488,12 +385,11 @@ CycleReport RolloutController::run_cycle(
     injected_canary_crash =
         config_.plan->decide(1, 1).kind == fault::FaultKind::CanaryCrash;
   }
-  if (injected_canary_crash || crash_here(CrashPoint::AfterCanaryApply)) {
-    halted_ = true;
-    report.crashed = true;
-    report.state = state_;
+  if (injected_canary_crash) {
+    halt(&report);
     return report;
   }
+  if (crash_here(CrashPoint::AfterCanaryApply, &report)) return report;
 
   if (!canary_ok) {
     report.error = "canary apply failed";
@@ -506,45 +402,35 @@ CycleReport RolloutController::run_cycle(
       report.verdict.candidate_score + config_.max_score_regression >=
           report.verdict.incumbent_score &&
       report.verdict.canary_goodput >= config_.min_canary_goodput;
-  (void)journal_append(
-      "verdict " + std::to_string(n) +
-      " cand=" + fixed6(report.verdict.candidate_score) +
-      " inc=" + fixed6(report.verdict.incumbent_score) +
-      " goodput=" + fixed6(report.verdict.canary_goodput) +
-      " errors=" + std::to_string(report.verdict.canary_errors) +
-      (report.pass ? " pass" : " fail"));
-  TREU_OBS_FR_EVENT(PipelineVerdict, 0, pub.entry.version,
-                    report.pass ? 1 : 0);
-  if (crash_here(CrashPoint::AfterVerdict)) {
-    report.crashed = true;
-    report.state = state_;
+  if (!journal_append(
+          "verdict " + std::to_string(n) +
+              " cand=" + fixed6(report.verdict.candidate_score) +
+              " inc=" + fixed6(report.verdict.incumbent_score) +
+              " goodput=" + fixed6(report.verdict.canary_goodput) +
+              " errors=" + std::to_string(report.verdict.canary_errors) +
+              (report.pass ? " pass" : " fail"),
+          &report)) {
     return report;
   }
+  TREU_OBS_FR_EVENT(PipelineVerdict, 0, pub.entry.version,
+                    report.pass ? 1 : 0);
+  if (crash_here(CrashPoint::AfterVerdict, &report)) return report;
 
   if (!report.pass) {
     do_rollback(n, /*rolling_back_journaled=*/false, &report);
     return report;
   }
 
-  state_ = RolloutState::Promoting;
-  journal_state(n, RolloutState::Promoting);
-  if (crash_here(CrashPoint::AfterPromotingEnter)) {
-    report.crashed = true;
-    report.state = state_;
+  if (!enter_state(n, RolloutState::Promoting, &report) ||
+      crash_here(CrashPoint::AfterPromotingEnter, &report)) {
     return report;
   }
 
   // Decision point 2: promote. PromoteCrash lands in the nastiest window —
   // intent journaled, fleet not yet touched.
-  bool injected_promote_crash = false;
-  if (config_.plan != nullptr) {
-    injected_promote_crash =
-        config_.plan->decide(2, 1).kind == fault::FaultKind::PromoteCrash;
-  }
-  if (injected_promote_crash) {
-    halted_ = true;
-    report.crashed = true;
-    report.state = state_;
+  if (config_.plan != nullptr &&
+      config_.plan->decide(2, 1).kind == fault::FaultKind::PromoteCrash) {
+    halt(&report);
     return report;
   }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -331,6 +332,122 @@ TEST(CkptAtomicWrite, FlipBitCommitsRottenFile) {
   const auto loaded = ckpt::load_checkpoint_file(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_NE(loaded.failure, ckpt::DecodeFailure::None);
+}
+
+TEST(CkptAtomicWrite, FsyncDirReportsFailure) {
+  const std::string dir = fresh_dir("fsyncdir");
+  errno = 0;
+  EXPECT_FALSE(ckpt::fsync_dir(dir));
+  EXPECT_EQ(errno, ENOENT);
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(ckpt::fsync_dir(dir));
+}
+
+// ---------------------------------------------------------------------------
+// RecordLog: the append-only log under the registry and the journal
+
+std::string text_of(const std::string &path) {
+  const auto raw = ckpt::read_file(path);
+  return raw ? std::string(raw->begin(), raw->end()) : std::string();
+}
+
+void write_text(const std::string &path, const std::string &text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+// Accepts records "r<i>" in order, calls "x..." lines corrupt and anything
+// else torn.
+ckpt::RecordLog::Check counting_check() {
+  auto next = std::make_shared<int>(0);
+  return [next](std::string_view line) {
+    if (line == "r" + std::to_string(*next)) {
+      ++*next;
+      return ckpt::DecodeFailure::None;
+    }
+    return line.starts_with("x") ? ckpt::DecodeFailure::Corrupt
+                                 : ckpt::DecodeFailure::Torn;
+  };
+}
+
+TEST(CkptRecordLog, AppendWritesTheHeaderIntoAnEmptyFile) {
+  const std::string dir = fresh_dir("log_append");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/records.log";
+  ckpt::RecordLog log(path, "hdr v1");
+  EXPECT_TRUE(log.scan(counting_check()).missing);
+  ASSERT_TRUE(log.append("r0")) << log.error();
+  ASSERT_TRUE(log.append("r1")) << log.error();
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\nr1\n");
+
+  write_text(path, "");  // what a crash during the first append leaves
+  ASSERT_TRUE(log.append("r0")) << log.error();
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\n");
+
+  // A torn append leaves half the line and the log refuses from then on.
+  log.tear("r1-and-more");
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\nr1-and");
+  EXPECT_FALSE(log.append("r1"));
+  EXPECT_FALSE(log.error().empty());
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\nr1-and");
+
+  // A fresh log recovers the file and appends on the record boundary.
+  ckpt::RecordLog reopened(path, "hdr v1");
+  const auto cut = reopened.recover(counting_check());
+  EXPECT_EQ(cut.torn, 1u);
+  EXPECT_EQ(cut.dropped, 0u);
+  ASSERT_TRUE(reopened.append("r1")) << reopened.error();
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\nr1\n");
+}
+
+TEST(CkptRecordLog, ScanClassifiesAndRecoverCutsToTheAcceptedPrefix) {
+  const std::string dir = fresh_dir("log_scan");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/records.log";
+  ckpt::RecordLog log(path, "hdr v1");
+
+  // A corrupt record stops the scan; the lines after it are dropped.
+  write_text(path, "hdr v1\nr0\nx1\nr2\nfrag");
+  auto report = log.scan(counting_check());
+  EXPECT_FALSE(report.missing);
+  EXPECT_EQ(report.corrupt, 1u);
+  EXPECT_EQ(report.torn, 0u);
+  EXPECT_EQ(report.dropped, 2u);
+  EXPECT_EQ(report.valid_bytes, std::string("hdr v1\nr0\n").size());
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\nx1\nr2\nfrag");  // read-only
+
+  // A damaged header orphans every line, the header's own included.
+  write_text(path, "hdr v2\nr0\nr1");
+  report = log.scan(counting_check());
+  EXPECT_EQ(report.torn, 3u);
+  EXPECT_EQ(report.corrupt + report.dropped, 0u);
+  EXPECT_EQ(report.valid_bytes, 0u);
+
+  // recover() cuts to the accepted prefix: here, nothing at all.
+  report = log.recover(counting_check());
+  EXPECT_EQ(report.torn, 3u);
+  EXPECT_EQ(text_of(path), "");
+  ASSERT_TRUE(log.append("r0")) << log.error();
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\n");
+
+  write_text(path, "hdr v1\nr0\nbad\nr1\n");
+  report = log.recover(counting_check());
+  EXPECT_EQ(report.torn, 1u);
+  EXPECT_EQ(report.dropped, 1u);
+  EXPECT_EQ(text_of(path), "hdr v1\nr0\n");
+}
+
+TEST(CkptRecordLog, ParseHelpersAreStrict) {
+  EXPECT_EQ(ckpt::parse_u64("0"), 0u);
+  EXPECT_EQ(ckpt::parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(ckpt::parse_u64("18446744073709551616").has_value());
+  EXPECT_FALSE(ckpt::parse_u64("").has_value());
+  EXPECT_FALSE(ckpt::parse_u64("-1").has_value());
+  EXPECT_FALSE(ckpt::parse_u64("12 ").has_value());
+  EXPECT_EQ(ckpt::field("version=12", "version"), "12");
+  EXPECT_FALSE(ckpt::field("version=", "version").has_value());
+  EXPECT_FALSE(ckpt::field("versions=12", "version").has_value());
+  EXPECT_FALSE(ckpt::field("v=12", "version").has_value());
 }
 
 // ---------------------------------------------------------------------------

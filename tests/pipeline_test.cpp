@@ -13,7 +13,9 @@
 //     byte-identical rollout journals and registry logs.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -52,6 +54,36 @@ std::string fresh_dir(const std::string &name) {
   const std::string dir = testing::TempDir() + "treu_pipeline_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// Lowers the soft RLIMIT_FSIZE with SIGXFSZ ignored, so a write that would
+// grow a file past `bytes` comes back short and the next one fails with
+// EFBIG: a real I/O error, no mount needed. The destructor restores both,
+// so a failed assertion cannot leak the limit into later tests.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes)
+      : saved_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit &) = delete;
+  FileSizeLimit &operator=(const FileSizeLimit &) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int);
+};
+
+std::string file_text(const std::string &path) {
+  const auto raw = ckpt::read_file(path);
+  return raw ? std::string(raw->begin(), raw->end()) : std::string();
 }
 
 std::uint64_t env_seed(const char *name, std::uint64_t fallback) {
@@ -460,6 +492,49 @@ TEST(PipelineRegistry, TornLogAppendRecoversLikeACrash) {
   EXPECT_EQ(scan.torn + scan.corrupt, 0u);
 }
 
+TEST(PipelineRegistry, FailedAppendLeavesNoFragment) {
+  pipeline::ModelRegistry reg(fresh_dir("failedappend"));
+  std::uint64_t step = 10;
+  // Grow the log past one checkpoint file, so a file-size limit can let
+  // the checkpoint and manifest commit yet cut the log append short.
+  std::uintmax_t ckpt_bytes = 0;
+  do {
+    const auto report = reg.publish(toy_ckpt(step));
+    ASSERT_TRUE(report.vetted) << report.error;
+    ckpt_bytes = std::filesystem::file_size(reg.dir() + "/" +
+                                            report.entry.filename);
+    step += 10;
+  } while (std::filesystem::file_size(reg.log_path()) <= ckpt_bytes);
+  const std::string before = file_text(reg.log_path());
+  const std::uint64_t head = reg.head_version();
+
+  const ckpt::TrainingCheckpoint candidate = toy_ckpt(step);
+  pipeline::ModelRegistry::PublishReport limited;
+  {
+    FileSizeLimit limit(before.size() + 40);
+    limited = reg.publish(candidate);
+  }
+  EXPECT_TRUE(limited.committed);
+  EXPECT_FALSE(limited.logged);
+  EXPECT_FALSE(limited.error.empty());
+  EXPECT_EQ(file_text(reg.log_path()), before);  // no fragment left behind
+  EXPECT_EQ(reg.head_version(), head);
+
+  const auto next = reg.publish(toy_ckpt(step + 10));
+  ASSERT_TRUE(next.logged) << next.error;
+  EXPECT_TRUE(next.vetted);
+  EXPECT_EQ(next.entry.version, head + 1);
+  const auto latest = reg.latest_vetted();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->version, next.entry.version);
+  EXPECT_EQ(latest->entry_digest, next.entry.entry_digest);
+  pipeline::ModelRegistry reopened(reg.dir());
+  const auto reopened_latest = reopened.latest_vetted();
+  ASSERT_TRUE(reopened_latest.has_value());
+  EXPECT_EQ(reopened_latest->version, next.entry.version);
+  EXPECT_EQ(reopened_latest->entry_digest, next.entry.entry_digest);
+}
+
 // ---------------------------------------------------------------------------
 // RolloutController: happy path, regression rollback
 
@@ -640,6 +715,101 @@ TEST(PipelineRollout, ResumeWithoutPendingCycleIsANoOp) {
   const auto resume = ctl.resume();
   EXPECT_FALSE(resume.resumed);
   EXPECT_EQ(ctl.journal_string(), before);  // not a byte written
+}
+
+TEST(PipelineRollout, HeaderlessJournalKeepsItsHistory) {
+  // An empty journal, or one holding part of its header line, is what a
+  // crash during the very first journal write leaves behind.
+  for (const std::string &leftover :
+       {std::string(), std::string("treu-rollout-jo")}) {
+    SCOPED_TRACE("journal starts as \"" + leftover + "\"");
+    const std::string root =
+        fresh_dir("headerless_" + std::to_string(leftover.size()));
+    std::filesystem::create_directories(root);
+    const std::string journal = root + "/rollout.journal";
+    {
+      std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+      out << leftover;
+    }
+    Deployment dep;
+    dep.init(23);
+    pipeline::ModelRegistry reg(root + "/registry");
+    dep.registry = &reg;
+    pipeline::RolloutConfig cfg;
+    cfg.max_score_regression = 0.05;
+    {
+      pipeline::RolloutController ctl(reg, dep.hooks(), cfg, journal);
+      baseline_promote(ctl, dep);
+    }
+    {
+      pipeline::RolloutController restarted(reg, dep.hooks(), cfg, journal);
+      EXPECT_EQ(restarted.incumbent_version(), 1u);
+      EXPECT_FALSE(restarted.pending_resume());
+    }
+
+    pipeline::RolloutConfig crash_cfg = cfg;
+    crash_cfg.crash_point = pipeline::CrashPoint::AfterPromotingEnter;
+    {
+      pipeline::RolloutController ctl(reg, dep.hooks(), crash_cfg, journal);
+      ASSERT_TRUE(ctl.run_cycle(dep.good_candidate(100, 23)).crashed);
+    }
+    pipeline::RolloutController revived(reg, dep.hooks(), cfg, journal);
+    ASSERT_TRUE(revived.pending_resume());
+    EXPECT_EQ(revived.resume().state, pipeline::RolloutState::Promoted);
+    EXPECT_EQ(revived.incumbent_version(), 2u);
+  }
+}
+
+TEST(PipelineRollout, FailedJournalAppendHaltsBeforeActing) {
+  const std::string root = fresh_dir("failedjournal");
+  const std::string journal = root + "/rollout.journal";
+  Deployment dep;
+  dep.init(29);
+  pipeline::ModelRegistry reg(root + "/registry");
+  dep.registry = &reg;
+  pipeline::RolloutConfig cfg;
+  cfg.max_score_regression = 0.05;
+
+  // Once armed, score the canary and then cap the file size a few bytes
+  // past the journal's end: the verdict line that follows gets a short
+  // write.
+  bool armed = false;
+  std::optional<FileSizeLimit> limit;
+  bool promoted = false;
+  pipeline::RolloutHooks hooks = dep.hooks();
+  const auto score = hooks.score;
+  hooks.score = [&](const pipeline::RegistryEntry &entry) {
+    const pipeline::CanaryVerdict verdict = score(entry);
+    if (armed) limit.emplace(std::filesystem::file_size(journal) + 8);
+    return verdict;
+  };
+  const auto promote = hooks.promote;
+  hooks.promote = [&](const pipeline::RegistryEntry &entry) {
+    promoted = true;
+    return promote(entry);
+  };
+
+  pipeline::RolloutController ctl(reg, hooks, cfg, journal);
+  baseline_promote(ctl, dep);
+  armed = true;
+  promoted = false;
+  const auto report = ctl.run_cycle(dep.good_candidate(100, 29));
+  limit.reset();
+  EXPECT_TRUE(report.crashed);
+  EXPECT_TRUE(ctl.halted());
+  EXPECT_FALSE(promoted);  // the action the verdict line precedes never ran
+  EXPECT_EQ(ctl.incumbent_version(), 1u);
+  const std::string text = ctl.journal_string();
+  const std::string canary_line = "state 2 canary\n";
+  ASSERT_GE(text.size(), canary_line.size());
+  EXPECT_EQ(text.substr(text.size() - canary_line.size()), canary_line);
+
+  // A restart converges through the decision table: the journal's last
+  // line is "state 2 canary", so the canary is rolled back.
+  pipeline::RolloutController revived(reg, dep.hooks(), cfg, journal);
+  ASSERT_TRUE(revived.pending_resume());
+  EXPECT_EQ(revived.resume().state, pipeline::RolloutState::RolledBack);
+  EXPECT_EQ(revived.incumbent_version(), 1u);
 }
 
 // ---------------------------------------------------------------------------
